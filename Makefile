@@ -41,11 +41,13 @@ fleetchaos:
 	$(GO) test -race -run 'FleetChaos$$' -count=1 ./internal/sim
 
 # Brief coverage-guided fuzz of the controller and retrier contracts,
-# plus the wire codec's hostile-input surface.
+# the address CAM table against a map reference, plus the wire codec's
+# hostile-input surface.
 fuzz:
 	$(GO) test ./internal/core -fuzz FuzzControllerOps -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzRetrierOps -fuzztime 10s
 	$(GO) test ./internal/core -fuzz 'FuzzParityReconstruct$$' -fuzztime 10s
+	$(GO) test ./internal/core -fuzz 'FuzzCAM$$' -fuzztime 10s
 	$(GO) test ./internal/wire -fuzz 'FuzzFrameDecode$$' -fuzztime 10s
 	$(GO) test ./internal/wire -fuzz 'FuzzFrameDecodeShortReads$$' -fuzztime 10s
 	$(GO) test ./internal/wire -fuzz 'FuzzPooledRoundTrip$$' -fuzztime 10s

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"repro/internal/coded"
@@ -49,6 +50,41 @@ func TestTickAllocationFree(t *testing.T) {
 				t.Fatalf("steady-state request+Tick allocates %.2f objects/cycle, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestTickAllocationFreeLongChurn holds the zero-alloc contract over
+// millions of cycles of CAM churn, not just a short window after
+// warm-up: uniform reads over a large address space insert and delete a
+// fresh address on nearly every accepted read, and a growable hash map
+// in the CAM's place keeps allocating long after warm-up.
+func TestTickAllocationFreeLongChurn(t *testing.T) {
+	c, err := New(Config{Banks: 32, DelayRows: 64, WordBytes: 8, HashSeed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(3, 5))
+	step := func() {
+		c.Read(rng.Uint64() & (1<<24 - 1)) //nolint:errcheck // a rare stall just wastes the slot
+		c.Tick()
+	}
+	for i := 0; i < 20000; i++ {
+		step()
+	}
+	// One P: a preempted goroutine then has no idle P to hand off to,
+	// so the scheduler never starts a new OS thread, whose runtime
+	// structures would count as heap mallocs mid-measurement.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const cycles = 2_000_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("%d request+Tick cycles after warm-up allocated %d objects (%d bytes), want 0",
+			cycles, n, after.TotalAlloc-before.TotalAlloc)
 	}
 }
 

@@ -12,11 +12,13 @@ import (
 // the right data word on the interface at the right time. The hardware
 // stores only the row id (log2 K bits per slot); the tag, address and
 // issue cycle ride along in the model so completions are self-describing.
+// A parity-decode playback reuses rowID as its decode row's index in
+// the codedState freelist.
 type playback struct {
-	rowID    int
 	tag      uint64
 	addr     uint64
 	issuedAt uint64
+	rowID    int32
 }
 
 // baqEntry is one bank access queue entry: a read/write bit plus, for
@@ -76,12 +78,12 @@ type bankController struct {
 	owner    *Controller
 	rows     []dsbRow
 	freeRows int
-	// byAddr indexes the CAM: addr → row for every allocated,
-	// address-valid row (at most one per address). freeMask is the "first
-	// zero circuit" as a bitmask, one set bit per free row. Both are pure
-	// accelerators over rows — the row flags stay authoritative — sized
-	// once at construction so steady state never allocates.
-	byAddr   map[uint64]int32
+	// cam indexes the CAM: addr → row for every allocated, address-valid
+	// row (at most one per address). freeMask is the "first zero circuit"
+	// as a bitmask, one set bit per free row. Both are pure accelerators
+	// over rows — the row flags stay authoritative — sized once at
+	// construction so steady state never allocates.
+	cam      camTable
 	freeMask []uint64
 	baq      *queue.Ring[baqEntry]
 	wb       *queue.Ring[wbEntry]
@@ -97,29 +99,110 @@ func newBankController(id int, cfg Config, owner *Controller) *bankController {
 		owner:    owner,
 		rows:     make([]dsbRow, cfg.DelayRows),
 		freeRows: cfg.DelayRows,
-		byAddr:   make(map[uint64]int32, cfg.DelayRows),
+		cam:      newCAMTable(cfg.DelayRows),
 		freeMask: make([]uint64, (cfg.DelayRows+63)/64),
 		baq:      queue.NewRing[baqEntry](cfg.QueueDepth),
 		wb:       queue.NewRing[wbEntry](cfg.WriteBufferDepth),
 		trace:    cfg.Trace,
 	}
+	// One arena backs every row's data word.
+	w := cfg.WordBytes
+	arena := make([]byte, cfg.DelayRows*w)
 	for i := range b.rows {
-		b.rows[i].data = make([]byte, cfg.WordBytes)
+		b.rows[i].data = arena[i*w : (i+1)*w : (i+1)*w]
 		b.freeMask[i>>6] |= 1 << (uint(i) & 63)
 	}
 	return b
+}
+
+// camTable is the address CAM as a flat open-addressed hash table:
+// linear probing from a multiplicative hash of the address, with
+// backward-shift deletion so no tombstones ever accumulate. It holds at
+// most one entry per delay storage buffer row in at least twice as many
+// slots, so a probe run stays short and the table never fills; nothing
+// is allocated after construction.
+type camTable struct {
+	slots []camSlot
+	shift uint // 64 - log2(len(slots)): keeps the hash's high bits
+}
+
+// camSlot is one table slot. row holds the row index plus one, so the
+// zero slot is empty.
+type camSlot struct {
+	addr uint64
+	row  int32
+}
+
+func newCAMTable(rows int) camTable {
+	n := 4
+	for n < 2*rows {
+		n <<= 1
+	}
+	return camTable{slots: make([]camSlot, n), shift: uint(64 - bits.TrailingZeros(uint(n)))}
+}
+
+// home is addr's preferred slot (Fibonacci hashing).
+func (t *camTable) home(addr uint64) int {
+	return int((addr * 0x9e3779b97f4a7c15) >> t.shift)
+}
+
+// get returns the row mapped to addr, or -1.
+func (t *camTable) get(addr uint64) int {
+	mask := len(t.slots) - 1
+	for i := t.home(addr); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.row == 0 {
+			return -1
+		}
+		if s.addr == addr {
+			return int(s.row - 1)
+		}
+	}
+}
+
+// put maps addr to row, replacing any existing mapping. The caller
+// keeps the live entries below len(slots).
+func (t *camTable) put(addr uint64, row int) {
+	mask := len(t.slots) - 1
+	i := t.home(addr)
+	for t.slots[i].row != 0 && t.slots[i].addr != addr {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = camSlot{addr: addr, row: int32(row + 1)}
+}
+
+// delete removes addr's mapping, if any. Later members of the probe run
+// shift back into the hole unless that would move one before its home
+// slot, which keeps every remaining key reachable without tombstones.
+func (t *camTable) delete(addr uint64) {
+	mask := len(t.slots) - 1
+	i := t.home(addr)
+	for {
+		s := &t.slots[i]
+		if s.row == 0 {
+			return
+		}
+		if s.addr == addr {
+			break
+		}
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; t.slots[j].row != 0; j = (j + 1) & mask {
+		// The entry at j may fill hole i only if i lies on its probe
+		// path, i.e. no further from j than its home slot is.
+		if (j-t.home(t.slots[j].addr))&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = camSlot{}
 }
 
 // lookup is the address CAM search: the index of the allocated,
 // address-valid row holding addr, or -1. At most one row can be valid
 // for a given address (new rows are only allocated on a CAM miss, and a
 // write invalidates the matching row before any new row can appear).
-func (b *bankController) lookup(addr uint64) int {
-	if i, ok := b.byAddr[addr]; ok {
-		return int(i)
-	}
-	return -1
-}
+func (b *bankController) lookup(addr uint64) int { return b.cam.get(addr) }
 
 // allocRow is the "first zero circuit": it reserves the lowest-indexed
 // free row for addr. The caller must have checked freeRows > 0.
@@ -137,7 +220,7 @@ func (b *bankController) allocRow(addr uint64) int {
 		r.count = 1
 		r.dataReady = false
 		r.corrupt = false
-		b.byAddr[addr] = int32(i)
+		b.cam.put(addr, i)
 		b.freeRows--
 		b.owner.noteRowAlloc(b.id)
 		return i
@@ -148,7 +231,7 @@ func (b *bankController) allocRow(addr uint64) int {
 func (b *bankController) freeRow(rowID int) {
 	r := &b.rows[rowID]
 	if r.addrValid {
-		delete(b.byAddr, r.addr)
+		b.cam.delete(r.addr)
 	}
 	r.allocated = false
 	r.addrValid = false
@@ -202,7 +285,7 @@ func (b *bankController) acceptWrite(addr uint64, data []byte) error {
 	}
 	if rowID := b.lookup(addr); rowID >= 0 {
 		b.rows[rowID].addrValid = false
-		delete(b.byAddr, addr)
+		b.cam.delete(addr)
 	}
 	b.wb.Push(wbEntry{addr: addr, data: data})
 	b.baq.Push(baqEntry{isWrite: true})
@@ -217,7 +300,7 @@ func (b *bankController) flushInflight(memNow uint64) {
 	if b.inflight.active && memNow >= b.inflight.doneAt {
 		b.rows[b.inflight.rowID].dataReady = true
 		b.inflight.active = false
-		b.owner.inflightBanks.remove(b.id)
+		b.owner.inflight--
 		if b.trace != nil {
 			b.trace.OnDataReady(b.inflight.doneAt, b.id, b.rows[b.inflight.rowID].addr)
 		}
@@ -261,7 +344,7 @@ func (b *bankController) tryIssue(mod *dram.Module, memNow uint64, pool *bufPool
 	copy(row.data, data)
 	row.corrupt = status == dram.ReadUncorrectable
 	b.inflight = inflightAccess{active: true, rowID: head.rowID, doneAt: doneAt}
-	b.owner.inflightBanks.add(b.id)
+	b.owner.noteIssueRead(b.id, doneAt)
 	return true
 }
 
@@ -271,9 +354,9 @@ func (b *bankController) tryIssue(mod *dram.Module, memNow uint64, pool *bufPool
 // fill failed ECC, in which case every playback it serves is poisoned.
 // The data must be ready — the normalized delay D is chosen so that any
 // request admitted without a stall completes in time, and a violation
-// here means that invariant (not the workload) is broken.
-func (b *bankController) deliver(p playback, memNow uint64, dst []byte) (corrupt bool) {
-	b.flushInflight(memNow)
+// here means that invariant (not the workload) is broken. Tick has
+// already flushed every access finished by the current memory cycle.
+func (b *bankController) deliver(p *playback, dst []byte) (corrupt bool) {
 	r := &b.rows[p.rowID]
 	if !r.allocated || r.count == 0 {
 		panic(fmt.Sprintf("core: playback for bank %d row %d which is not reserved", b.id, p.rowID))
@@ -285,7 +368,7 @@ func (b *bankController) deliver(p playback, memNow uint64, dst []byte) (corrupt
 	corrupt = r.corrupt
 	r.count--
 	if r.count == 0 {
-		b.freeRow(p.rowID)
+		b.freeRow(int(p.rowID))
 	}
 	return corrupt
 }

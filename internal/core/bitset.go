@@ -3,16 +3,15 @@ package core
 import "math/bits"
 
 // bankSet is a fixed-width bitmap over bank indices — the allocation-free
-// active-bank set behind the event-driven Tick. The controller keeps one
-// for banks with a non-empty access queue (the arbiter's candidates) and
-// one for banks with an in-flight DRAM access (the flush candidates), so
-// per-cycle work visits only banks that actually have something to do.
-// Membership updates are O(1); in-order iteration costs one
-// TrailingZeros64 per member plus one word-load per 64 banks scanned,
-// which is what turns the controller's O(Banks) scans into O(active).
+// active-bank set behind the event-driven arbiter. The controller keeps
+// one for banks with a non-empty access queue (the arbiter's
+// candidates), so per-cycle work visits only banks that actually have
+// something to do. Membership updates are O(1); in-order iteration
+// costs one TrailingZeros64 per member plus one word-load per 64 banks
+// scanned, which is what turns the controller's O(Banks) scans into
+// O(active).
 type bankSet struct {
 	words []uint64
-	n     int // population count, maintained incrementally
 }
 
 func newBankSet(banks int) bankSet {
@@ -21,24 +20,13 @@ func newBankSet(banks int) bankSet {
 
 // add inserts bank i; inserting a member again is a no-op.
 func (s *bankSet) add(i int) {
-	w, b := i>>6, uint(i)&63
-	if s.words[w]&(1<<b) == 0 {
-		s.words[w] |= 1 << b
-		s.n++
-	}
+	s.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
 // remove deletes bank i; deleting a non-member is a no-op.
 func (s *bankSet) remove(i int) {
-	w, b := i>>6, uint(i)&63
-	if s.words[w]&(1<<b) != 0 {
-		s.words[w] &^= 1 << b
-		s.n--
-	}
+	s.words[i>>6] &^= 1 << (uint(i) & 63)
 }
-
-// len reports the membership count.
-func (s *bankSet) len() int { return s.n }
 
 // nextIn returns the smallest member in [from, to), or -1. The rotating
 // arbiter calls it twice — [ptr, banks) then [0, ptr) — to visit members

@@ -30,9 +30,10 @@ import "repro/internal/coded"
 
 // codedState bundles the controller's coded-mode state: geometry
 // shortcuts for the stripe/lane address split, the parity+shadow banks,
-// the per-cycle port ledger, and a freelist of decode rows sized so the
-// steady state never allocates (at most K decodes per cycle, each held
-// D cycles).
+// the per-cycle port ledger, and the decode rows with a freelist of
+// their indices, sized so the steady state never allocates (at most K
+// decodes per cycle, each held D cycles). Due entries name a decode row
+// by its index.
 type codedState struct {
 	geo       coded.Geometry
 	laneBits  uint
@@ -40,7 +41,8 @@ type codedState struct {
 	groupMask uint64
 	banks     *coded.Banks
 	ports     *coded.Ports
-	freeRows  [][]byte
+	rows      [][]byte
+	freeRows  []int32
 }
 
 func newCodedState(cfg Config) *codedState {
@@ -53,9 +55,13 @@ func newCodedState(cfg Config) *codedState {
 		banks:     coded.NewBanks(geo, cfg.WordBytes),
 		ports:     coded.NewPorts(geo, cfg.Banks),
 	}
-	st.freeRows = make([][]byte, geo.ReadPorts()*cfg.Delay)
-	for i := range st.freeRows {
-		st.freeRows[i] = make([]byte, cfg.WordBytes)
+	n, w := geo.ReadPorts()*cfg.Delay, cfg.WordBytes
+	arena := make([]byte, n*w)
+	st.rows = make([][]byte, n)
+	st.freeRows = make([]int32, n)
+	for i := range st.rows {
+		st.rows[i] = arena[i*w : (i+1)*w : (i+1)*w]
+		st.freeRows[i] = int32(i)
 	}
 	return st
 }
@@ -63,7 +69,7 @@ func newCodedState(cfg Config) *codedState {
 // allocRow takes a decode row from the freelist. The list cannot be
 // empty: at most ReadPorts decodes are granted per cycle and each row
 // is returned when its playback delivers D cycles later.
-func (st *codedState) allocRow() []byte {
+func (st *codedState) allocRow() int32 {
 	n := len(st.freeRows)
 	if n == 0 {
 		panic("core: decode row freelist exhausted")
@@ -74,7 +80,7 @@ func (st *codedState) allocRow() []byte {
 }
 
 // freeRow returns a delivered decode row to the freelist.
-func (st *codedState) freeRow(row []byte) {
+func (st *codedState) freeRow(row int32) {
 	st.freeRows = append(st.freeRows, row)
 }
 
@@ -110,7 +116,7 @@ func (c *Controller) readCoded(addr uint64) (tag uint64, err error) {
 		if aerr != nil {
 			panic("core: coded merge pre-check disagreed with acceptRead")
 		}
-		c.grantCoded(bank, grantMerge, nil, playback{rowID: rowID, tag: tag, addr: addr, issuedAt: c.cycle})
+		c.grantCoded(bank, grantMerge, rowID, addr)
 		c.stats.MergedReads++
 		return tag, nil
 	}
@@ -126,7 +132,7 @@ func (c *Controller) readCoded(addr uint64) (tag uint64, err error) {
 		rowID, _, aerr := b.acceptRead(addr, c.maxCount)
 		if aerr == nil {
 			st.ports.UseBank(bank)
-			c.grantCoded(bank, grantDirect, nil, playback{rowID: rowID, tag: tag, addr: addr, issuedAt: c.cycle})
+			c.grantCoded(bank, grantDirect, rowID, addr)
 			c.notePressure(b)
 			return tag, nil
 		}
@@ -137,8 +143,8 @@ func (c *Controller) readCoded(addr uint64) (tag uint64, err error) {
 	if st.ports.DecodeFree(bank) {
 		st.ports.UseDecode(bank)
 		row := st.allocRow()
-		st.banks.Reconstruct(addr, row)
-		c.grantCoded(bank, grantDecode, row, playback{tag: tag, addr: addr, issuedAt: c.cycle})
+		st.banks.Reconstruct(addr, st.rows[row])
+		c.grantCoded(bank, grantDecode, int(row), addr)
 		return tag, nil
 	}
 
@@ -166,14 +172,19 @@ const (
 )
 
 // grantCoded finishes an accepted coded read: schedules the playback,
-// emits the trace event, and updates the shared admission ledger.
-// grantDecode selects the parity-reconstruction delivery path with its
-// preallocated row; merge/direct playbacks carry a DSB row id instead.
-func (c *Controller) grantCoded(bank int, kind grantKind, row []byte, p playback) {
+// emits the trace event, and updates the shared admission ledger. row
+// is a decode row index for grantDecode (the parity-reconstruction
+// delivery path) and a DSB row id for merge/direct playbacks.
+func (c *Controller) grantCoded(bank int, kind grantKind, row int, addr uint64) {
+	tag := c.nextTag
 	if c.cfg.Trace != nil {
-		c.cfg.Trace.OnRequest(c.cycle, bank, false, kind == grantMerge, p.addr, p.tag)
+		c.cfg.Trace.OnRequest(c.cycle, bank, false, kind == grantMerge, addr, tag)
 	}
-	c.pushDue(dueEntry{at: c.cycle + uint64(c.cfg.Delay), bank: bank, coded: kind == grantDecode, row: row, p: p})
+	*c.pushDue() = dueEntry{
+		p:     playback{tag: tag, addr: addr, issuedAt: c.cycle, rowID: int32(row)},
+		bank:  int32(bank),
+		coded: kind == grantDecode,
+	}
 	c.nextTag++
 	c.readsThisCycle++
 	c.stats.Reads++

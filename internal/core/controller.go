@@ -26,26 +26,32 @@ type Completion struct {
 	Err error
 }
 
-// dueEntry is one scheduled playback: the interface cycle at which it
-// must appear on the interface, the bank whose delay storage buffer row
-// holds the data, and the playback payload itself. Because at most K
-// reads are accepted per interface cycle (K = 1 unless coded bank
-// groups raise the admission cap) and every read is due exactly D
-// cycles later, due cycles are non-decreasing in acceptance order —
-// strictly increasing for K = 1 — so a FIFO of dueEntries is exactly
-// the union of the per-bank circular delay buffers of Section 4.1,
-// checked in O(deliveries) per cycle instead of one rotation per bank.
+// dueEntry is one scheduled playback: the playback payload itself and
+// the bank whose delay storage buffer row holds the data. It is due on
+// the interface at p.issuedAt + D. Because at most K reads are accepted
+// per interface cycle (K = 1 unless coded bank groups raise the
+// admission cap) and every read is due exactly D cycles later, due
+// cycles are non-decreasing in acceptance order — strictly increasing
+// for K = 1 — so a FIFO of dueEntries is exactly the union of the
+// per-bank circular delay buffers of Section 4.1, checked in
+// O(deliveries) per cycle instead of one rotation per bank. Entries are
+// filled and consumed in place in the ring, never copied.
 //
 // A coded entry is a parity-decode playback: its word was reconstructed
-// at accept time into row (owned by the codedState freelist) and never
-// touches a delay storage buffer, so bank is only the home bank for
-// trace labelling.
+// at accept time into decode row p.rowID (owned by the codedState
+// freelist) and never touches a delay storage buffer, so bank is only
+// the home bank for trace labelling.
 type dueEntry struct {
-	at    uint64
-	bank  int
-	coded bool
-	row   []byte
 	p     playback
+	bank  int32
+	coded bool
+}
+
+// doneEvent is one in-flight DRAM read in the done-ordered flush heap:
+// bank's access completes on memory cycle doneAt.
+type doneEvent struct {
+	doneAt uint64
+	bank   int32
 }
 
 // Controller is a virtually pipelined network memory: a front-end
@@ -99,12 +105,20 @@ type Controller struct {
 	// enabled. See coded.go for the multi-port arbitration path.
 	coded *codedState
 
-	// Active-bank sets: queuedBanks holds banks with a non-empty access
-	// queue (the arbiter's candidates), inflightBanks holds banks with a
-	// DRAM access in flight (the flush candidates). Maintained by the
-	// bank controllers through the owner pointer on every state change.
-	queuedBanks   bankSet
-	inflightBanks bankSet
+	// queuedBanks holds banks with a non-empty access queue (the
+	// arbiter's candidates); inflight counts banks with a DRAM read in
+	// flight. Both are maintained by the bank controllers through the
+	// owner pointer on every state change.
+	queuedBanks bankSet
+	inflight    int
+
+	// doneHeap is a min-heap on doneAt of the reads issued to DRAM, so
+	// Tick flushes only the accesses that finished instead of visiting
+	// every in-flight bank. An entry goes stale when tryIssue flushes its
+	// bank first; Tick discards it on pop. readyBanks is Tick's scratch
+	// list of the banks it flushes. Only the event-driven path uses them.
+	doneHeap   []doneEvent
+	readyBanks []int32
 
 	// due is the controller-wide playback schedule: a fixed-capacity FIFO
 	// ring of at most Delay entries in strictly increasing due order.
@@ -160,18 +174,17 @@ func New(cfg Config) (*Controller, error) {
 	}
 	maxReads := cfg.Coded.ReadPorts()
 	c := &Controller{
-		cfg:           cfg,
-		h:             h,
-		mod:           mod,
-		banks:         make([]*bankController, cfg.Banks),
-		bankMask:      uint64(cfg.Banks - 1),
-		maxCount:      1<<uint(cfg.CounterBits) - 1,
-		ratioNum:      uint64(cfg.RatioNum),
-		ratioDen:      uint64(cfg.RatioDen),
-		maxReads:      maxReads,
-		dense:         cfg.DenseScan,
-		queuedBanks:   newBankSet(cfg.Banks),
-		inflightBanks: newBankSet(cfg.Banks),
+		cfg:         cfg,
+		h:           h,
+		mod:         mod,
+		banks:       make([]*bankController, cfg.Banks),
+		bankMask:    uint64(cfg.Banks - 1),
+		maxCount:    1<<uint(cfg.CounterBits) - 1,
+		ratioNum:    uint64(cfg.RatioNum),
+		ratioDen:    uint64(cfg.RatioDen),
+		maxReads:    maxReads,
+		dense:       cfg.DenseScan,
+		queuedBanks: newBankSet(cfg.Banks),
 		// Up to maxReads playbacks can be scheduled per cycle, each due
 		// within Delay cycles.
 		dueBuf: make([]dueEntry, maxReads*cfg.Delay),
@@ -184,6 +197,13 @@ func New(cfg Config) (*Controller, error) {
 	}
 	if cfg.Coded.Enabled() {
 		c.coded = newCodedState(cfg)
+	}
+	if !c.dense {
+		// After every Tick the heap holds only live reads (at most one
+		// per bank); within a Tick each bus cycle can add one more.
+		busPerTick := (cfg.RatioNum + cfg.RatioDen - 1) / cfg.RatioDen
+		c.doneHeap = make([]doneEvent, 0, cfg.Banks+busPerTick)
+		c.readyBanks = make([]int32, 0, cfg.Banks)
 	}
 	for i := range c.banks {
 		c.banks[i] = newBankController(i, cfg, c)
@@ -266,7 +286,10 @@ func (c *Controller) Read(addr uint64) (tag uint64, err error) {
 	if c.cfg.Trace != nil {
 		c.cfg.Trace.OnRequest(c.cycle, bank, false, merged, addr, tag)
 	}
-	c.scheduleDue(bank, playback{rowID: rowID, tag: tag, addr: addr, issuedAt: c.cycle})
+	*c.pushDue() = dueEntry{
+		p:    playback{tag: tag, addr: addr, issuedAt: c.cycle, rowID: int32(rowID)},
+		bank: int32(bank),
+	}
 	c.nextTag++
 	c.readsThisCycle++
 	c.stats.Reads++
@@ -318,13 +341,10 @@ func (c *Controller) Write(addr uint64, data []byte) error {
 	return nil
 }
 
-// scheduleDue records an accepted read's playback, due exactly D cycles
-// after issue.
-func (c *Controller) scheduleDue(bank int, p playback) {
-	c.pushDue(dueEntry{at: c.cycle + uint64(c.cfg.Delay), bank: bank, p: p})
-}
-
-func (c *Controller) pushDue(e dueEntry) {
+// pushDue reserves the due ring's tail slot for an accepted read's
+// playback, due exactly D cycles after issue, and returns it for the
+// caller to fill in place.
+func (c *Controller) pushDue() *dueEntry {
 	if c.dueCount == len(c.dueBuf) {
 		// Impossible by construction: at most maxReads reads per cycle,
 		// each due within D cycles, and the ring holds maxReads*D.
@@ -334,8 +354,26 @@ func (c *Controller) pushDue(e dueEntry) {
 	if tail >= len(c.dueBuf) {
 		tail -= len(c.dueBuf)
 	}
-	c.dueBuf[tail] = e
 	c.dueCount++
+	return &c.dueBuf[tail]
+}
+
+// popDue removes and returns the due ring's head if it is due this
+// cycle, or nil. The slot stays valid until the next pushDue.
+func (c *Controller) popDue() *dueEntry {
+	if c.dueCount == 0 {
+		return nil
+	}
+	e := &c.dueBuf[c.dueHead]
+	if e.p.issuedAt+uint64(c.cfg.Delay) != c.cycle {
+		return nil
+	}
+	c.dueHead++
+	if c.dueHead == len(c.dueBuf) {
+		c.dueHead = 0
+	}
+	c.dueCount--
+	return e
 }
 
 // Tick advances the controller one interface cycle: the memory side
@@ -353,24 +391,11 @@ func (c *Controller) Tick() []Completion {
 	c.stats.Cycles++
 	c.advanceMemory()
 	c.completions = c.completions[:0]
-	if c.inflightBanks.len() > 0 {
-		// Flush in bank-index order — the order the dense scan visits —
-		// so Tracer event sequences are identical in both modes.
-		nBanks := len(c.banks)
-		for b := c.inflightBanks.nextIn(0, nBanks); b >= 0; {
-			next := c.inflightBanks.nextIn(b+1, nBanks)
-			c.banks[b].flushInflight(c.memTime)
-			b = next
-		}
+	if len(c.doneHeap) > 0 && c.doneHeap[0].doneAt <= c.memTime {
+		c.flushDone()
 	}
 	c.stats.RowOccupancySum += uint64(c.rowsUse)
-	for c.dueCount > 0 && c.dueBuf[c.dueHead].at == c.cycle {
-		e := c.dueBuf[c.dueHead]
-		c.dueHead++
-		if c.dueHead == len(c.dueBuf) {
-			c.dueHead = 0
-		}
-		c.dueCount--
+	for e := c.popDue(); e != nil; e = c.popDue() {
 		c.deliverDue(e)
 	}
 	c.endCycle()
@@ -378,6 +403,69 @@ func (c *Controller) Tick() []Completion {
 		c.publishProbe()
 	}
 	return c.completions
+}
+
+// noteIssueRead records a bank's DRAM read, completing at doneAt.
+func (c *Controller) noteIssueRead(bank int, doneAt uint64) {
+	c.inflight++
+	if c.dense {
+		return // the dense reference scans every bank instead
+	}
+	h := append(c.doneHeap, doneEvent{doneAt: doneAt, bank: int32(bank)})
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p].doneAt <= h[i].doneAt {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	c.doneHeap = h
+}
+
+// flushDone pops every read finished by memTime off the done heap and
+// flushes the banks still holding them, in bank-index order — the order
+// the dense scan visits — so Tracer event sequences are identical in
+// both modes. A popped entry is stale if tryIssue already flushed its
+// bank; a re-issued access always finishes later, so matching doneAt
+// identifies the live one.
+func (c *Controller) flushDone() {
+	ready := c.readyBanks[:0]
+	h := c.doneHeap
+	for len(h) > 0 && h[0].doneAt <= c.memTime {
+		top := h[0]
+		n := len(h) - 1
+		h[0] = h[n]
+		h = h[:n]
+		for i := 0; ; {
+			l := 2*i + 1
+			if l >= n {
+				break
+			}
+			if r := l + 1; r < n && h[r].doneAt < h[l].doneAt {
+				l = r
+			}
+			if h[i].doneAt <= h[l].doneAt {
+				break
+			}
+			h[i], h[l] = h[l], h[i]
+			i = l
+		}
+		if in := &c.banks[top.bank].inflight; in.active && in.doneAt == top.doneAt {
+			// Insertion sort: usually one or two banks finish together.
+			j := len(ready)
+			ready = append(ready, top.bank)
+			for ; j > 0 && ready[j-1] > top.bank; j-- {
+				ready[j] = ready[j-1]
+			}
+			ready[j] = top.bank
+		}
+	}
+	c.doneHeap = h
+	for _, b := range ready {
+		c.banks[b].flushInflight(c.memTime)
+	}
+	c.readyBanks = ready
 }
 
 // endCycle closes the interface cycle's admission state: the grant
@@ -396,20 +484,20 @@ func (c *Controller) endCycle() {
 // deliverDue plays one due entry back onto the interface. Each
 // completion in a cycle gets its own scratch word, so multi-grant coded
 // cycles deliver up to maxReads distinct payloads.
-func (c *Controller) deliverDue(e dueEntry) {
+func (c *Controller) deliverDue(e *dueEntry) {
 	dst := c.scratch[len(c.completions)]
 	var corrupt bool
 	if e.coded {
 		// Parity-decode playback: the word was reconstructed at accept
 		// time and bypassed the bank machinery (and with it the fault/ECC
 		// hook — decodes never report corruption; see DESIGN.md).
-		copy(dst, e.row)
-		c.coded.freeRow(e.row)
+		copy(dst, c.coded.rows[e.p.rowID])
+		c.coded.freeRow(e.p.rowID)
 	} else {
-		corrupt = c.banks[e.bank].deliver(e.p, c.memTime, dst)
+		corrupt = c.banks[e.bank].deliver(&e.p, dst)
 	}
 	if c.cfg.Trace != nil {
-		c.cfg.Trace.OnDeliver(c.cycle, e.bank, e.p.addr, e.p.tag)
+		c.cfg.Trace.OnDeliver(c.cycle, int(e.bank), e.p.addr, e.p.tag)
 	}
 	var cerr error
 	if corrupt {
@@ -636,7 +724,7 @@ func (c *Controller) StallsTotal() uint64 { return c.stats.Stalls.Total() }
 // From a quiescent state, ticking without issuing requests changes
 // nothing observable except the advancing clocks.
 func (c *Controller) Quiescent() bool {
-	return c.totalQueued == 0 && c.inflightBanks.len() == 0 && c.dueCount == 0
+	return c.totalQueued == 0 && c.inflight == 0 && c.dueCount == 0
 }
 
 // IdleCycles reports how many upcoming interface cycles are guaranteed
@@ -644,11 +732,11 @@ func (c *Controller) Quiescent() bool {
 // side acts every cycle), the gap to the next scheduled playback when
 // only deliveries remain, and ^uint64(0) when fully quiescent.
 func (c *Controller) IdleCycles() uint64 {
-	if c.totalQueued > 0 || c.inflightBanks.len() > 0 {
+	if c.totalQueued > 0 || c.inflight > 0 {
 		return 0
 	}
 	if c.dueCount > 0 {
-		return c.dueBuf[c.dueHead].at - c.cycle - 1
+		return c.dueBuf[c.dueHead].p.issuedAt + uint64(c.cfg.Delay) - c.cycle - 1
 	}
 	return ^uint64(0)
 }

@@ -30,13 +30,7 @@ func (c *Controller) tickDense() []Completion {
 		occupied += b.rowsInUse()
 	}
 	c.stats.RowOccupancySum += uint64(occupied)
-	for c.dueCount > 0 && c.dueBuf[c.dueHead].at == c.cycle {
-		e := c.dueBuf[c.dueHead]
-		c.dueHead++
-		if c.dueHead == len(c.dueBuf) {
-			c.dueHead = 0
-		}
-		c.dueCount--
+	for e := c.popDue(); e != nil; e = c.popDue() {
 		c.deliverDue(e)
 	}
 	if len(c.completions) > c.maxReads {

@@ -277,6 +277,14 @@ func TestEventDenseDifferential(t *testing.T) {
 	t.Run("rekey", func(t *testing.T) {
 		runEventDiff(t, diffCase{cfg: base, seed: 5, cycles: 24000, addrMask: 0x3f, rekeyEvery: 7001, op: mixed})
 	})
+	// Slow banks at a high rate and a long extra latency finish DRAM
+	// accesses far out of issue order, often several per cycle: the
+	// event path's done-ordered flush must discard stale entries and
+	// flush same-cycle finishers in bank order, as the dense scan does.
+	t.Run("slow-banks", func(t *testing.T) {
+		fc := &fault.Config{Seed: 17, SlowBankRate: 0.3, SlowBankExtra: 40}
+		runEventDiff(t, diffCase{cfg: base, fault: fc, seed: 8, cycles: 20000, addrMask: 0xff, op: mixed})
+	})
 	t.Run("wide-sparse", func(t *testing.T) {
 		cfg := core.Config{Banks: 128, QueueDepth: 4, DelayRows: 8, WordBytes: 8, HashSeed: 77}
 		runEventDiff(t, diffCase{cfg: cfg, seed: 6, cycles: 12000, addrMask: 0xffff, op: sparse})

@@ -42,8 +42,10 @@ type Memory struct {
 
 	reads, writes, busy uint64
 
-	// Completion staging. Each channel ticks into its own pre-sized
-	// buffer (at most one completion per channel per cycle), and Tick
+	// Completion staging. The sequential Tick appends each channel's
+	// re-tagged completions straight into comps. With a worker pool,
+	// each channel ticks into its own pre-sized perChan buffer (at most
+	// Ports()/Channels() completions per channel per cycle), and Tick
 	// merges the buffers into comps in channel order — the same order
 	// the sequential loop produces, which is what makes the parallel
 	// path cycle-for-cycle identical to the sequential one. All slices
@@ -121,8 +123,7 @@ func New(cfg core.Config, channels int, seed uint64, opts ...Option) (*Memory, e
 		shift: uint(bits),
 		// Per-cycle completion ceilings scale with the coded read
 		// admission cap: each channel can deliver up to ReadPorts words.
-		comps:   make([]core.Completion, 0, channels*ports),
-		perChan: make([][]core.Completion, channels),
+		comps: make([]core.Completion, 0, channels*ports),
 	}
 	for i := 0; i < channels; i++ {
 		c := cfg
@@ -138,11 +139,14 @@ func New(cfg core.Config, channels int, seed uint64, opts ...Option) (*Memory, e
 			return nil, err
 		}
 		m.chans = append(m.chans, ctrl)
-		m.perChan[i] = make([]core.Completion, 0, ports)
 	}
-	m.tickFn = m.tickChannel
 	if o.parallel && channels > 1 {
 		m.pool = parallel.NewPool(parallel.Workers(o.workers, channels))
+		m.tickFn = m.tickChannel
+		m.perChan = make([][]core.Completion, channels)
+		for i := range m.perChan {
+			m.perChan[i] = make([]core.Completion, 0, ports)
+		}
 	}
 	return m, nil
 }
@@ -282,23 +286,27 @@ func (m *Memory) Rekey(newSeed uint64) ([]core.Completion, error) {
 // channel ticks run concurrently on the pool; the merge order and every
 // completion are identical to the sequential path.
 func (m *Memory) Tick() []core.Completion {
+	m.comps = m.comps[:0]
 	if m.pool != nil {
 		m.pool.Run(len(m.chans), m.tickFn)
-	} else {
 		for ch := range m.chans {
-			m.tickChannel(ch)
+			m.comps = append(m.comps, m.perChan[ch]...)
 		}
+		return m.comps
 	}
-	m.comps = m.comps[:0]
-	for ch := range m.chans {
-		m.comps = append(m.comps, m.perChan[ch]...)
+	for ch, c := range m.chans {
+		comps := c.Tick()
+		for i := range comps {
+			m.comps = append(m.comps, comps[i])
+			m.comps[len(m.comps)-1].Tag = comps[i].Tag<<m.shift | uint64(ch)
+		}
 	}
 	return m.comps
 }
 
 // tickChannel advances one channel and stages its (re-tagged)
-// completions. Channels share no state, so distinct indices are safe to
-// run concurrently.
+// completions for the pool path. Channels share no state, so distinct
+// indices are safe to run concurrently.
 func (m *Memory) tickChannel(ch int) {
 	buf := m.perChan[ch][:0]
 	for _, comp := range m.chans[ch].Tick() {
