@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race chaos netchaos fleetchaos fuzz bench bench-gate bench-diff profile-ooo trace-sample lint
+.PHONY: ci vet build test race chaos netchaos fleetchaos vpnmbench fuzz bench bench-gate bench-diff profile-ooo trace-sample lint
 
-ci: vet build test race chaos netchaos fleetchaos
+ci: vet build test race chaos netchaos fleetchaos vpnmbench
 
 vet:
 	$(GO) vet ./...
@@ -39,6 +39,12 @@ netchaos:
 # reconciliation across five seeds.
 fleetchaos:
 	$(GO) test -race -run 'FleetChaos$$' -count=1 ./internal/sim
+
+# The serving benchmark's own tests: its negative control and ledger
+# checks drive the engine's issue path end to end. vpnmbench is a module
+# of its own, outside the root `go test ./...`.
+vpnmbench:
+	cd vpnmbench && $(GO) test -race ./...
 
 # Brief coverage-guided fuzz of the controller and retrier contracts,
 # the address CAM table against a map reference, plus the wire codec's

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hash"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -66,17 +65,9 @@ func main() {
 			addrs = append(addrs, a)
 		}
 	}
-	rec := &trace.Recorder{}
-	var tracer core.Tracer = rec
-	var events *telemetry.EventTrace
-	if *chrome != "" {
-		// Tee the controller's events into a Chrome trace ring big
-		// enough to keep the whole run.
-		events = telemetry.NewEventTrace(16 * (len(addrs) + 1))
-		events.SetRatio(1, 1)
-		events.Start(0, 0)
-		tracer = teeTracer{rec, events.ForChannel(0)}
-	}
+	// One event ring, sized to keep the whole run, feeds both the ASCII
+	// timeline and the Chrome trace.
+	events := trace.NewRing(len(addrs))
 	bits := 1
 	for 1<<bits < *banks {
 		bits++
@@ -91,7 +82,7 @@ func main() {
 		WordBytes:     8,
 		HashLatency:   1,
 		Hash:          hash.NewIdentity(bits), // addresses name their banks directly
-		Trace:         tracer,
+		Trace:         events.ForChannel(0),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -105,11 +96,11 @@ func main() {
 	ctrl.Flush()
 	if *random == 0 || len(addrs) <= 64 {
 		fmt.Printf("D = %d interface cycles; '|' issue, '#' bank access, '.' pipeline, 'D' delivery, 'X' stall\n\n", ctrl.Delay())
-		fmt.Print(rec.Timeline(1, 1, *scale))
+		fmt.Print(trace.Timeline(events.Snapshot(), 1, 1, *scale))
 	} else {
 		fmt.Printf("D = %d interface cycles; traced %d random reads (timeline suppressed past 64 requests)\n", ctrl.Delay(), len(addrs))
 	}
-	if events != nil {
+	if *chrome != "" {
 		events.Stop()
 		f, err := os.Create(*chrome)
 		if err != nil {
@@ -123,35 +114,4 @@ func main() {
 		}
 		fmt.Printf("wrote %d trace events to %s (open in chrome://tracing or ui.perfetto.dev)\n", events.Recorded(), *chrome)
 	}
-}
-
-// teeTracer fans controller events out to both the ASCII timeline
-// recorder and the Chrome trace ring.
-type teeTracer struct {
-	a, b core.Tracer
-}
-
-func (t teeTracer) OnRequest(cycle uint64, bank int, isWrite, merged bool, addr, tag uint64) {
-	t.a.OnRequest(cycle, bank, isWrite, merged, addr, tag)
-	t.b.OnRequest(cycle, bank, isWrite, merged, addr, tag)
-}
-
-func (t teeTracer) OnStall(cycle uint64, bank int, addr uint64, err error) {
-	t.a.OnStall(cycle, bank, addr, err)
-	t.b.OnStall(cycle, bank, addr, err)
-}
-
-func (t teeTracer) OnIssue(memCycle uint64, bank int, isWrite bool, addr uint64) {
-	t.a.OnIssue(memCycle, bank, isWrite, addr)
-	t.b.OnIssue(memCycle, bank, isWrite, addr)
-}
-
-func (t teeTracer) OnDataReady(memCycle uint64, bank int, addr uint64) {
-	t.a.OnDataReady(memCycle, bank, addr)
-	t.b.OnDataReady(memCycle, bank, addr)
-}
-
-func (t teeTracer) OnDeliver(cycle uint64, bank int, addr, tag uint64) {
-	t.a.OnDeliver(cycle, bank, addr, tag)
-	t.b.OnDeliver(cycle, bank, addr, tag)
 }

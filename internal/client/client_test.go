@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,6 +107,36 @@ func TestReadWriteFlushStats(t *testing.T) {
 	}
 	if ctr.LatencyViolations != 0 {
 		t.Fatalf("%d fixed-D violations", ctr.LatencyViolations)
+	}
+}
+
+// TestFlushWaitsForCallbacks: Flush is a barrier over callbacks too.
+// When it returns, the callback of every read it covers has run to
+// completion. The reader runs callbacks inline, so a slow callback
+// widens the window in which a flush reply that overtook the
+// completions it covers would let Flush return early.
+func TestFlushWaitsForCallbacks(t *testing.T) {
+	c, _, _ := pipeClient(t, server.Config{}, smallCfg(), 2, client.Config{})
+	tctx := ctx(t)
+	var ran atomic.Int64
+	cb := func(client.Completion) {
+		time.Sleep(20 * time.Microsecond)
+		ran.Add(1)
+	}
+	const reads = 64
+	deadline := time.Now().Add(2 * time.Second)
+	for round := 0; round < 20 && time.Now().Before(deadline); round++ {
+		for i := 0; i < reads; i++ {
+			if err := c.Read(tctx, uint64(round*reads+i), cb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(tctx); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ran.Load(), int64((round+1)*reads); got != want {
+			t.Fatalf("round %d: Flush returned with %d of %d callbacks run", round, got, want)
+		}
 	}
 }
 

@@ -210,7 +210,6 @@ func (c *conn) writeLoop() {
 	}
 }
 
-// buildFrames encodes one drained batch into pooled buffers, one frame
 // writerChunk caps the records encoded into a single egress frame.
 // Deliberately far below wire.MaxBatch: the coalesced staging depth
 // varies with scheduling, and letting it pick the frame size would
@@ -222,22 +221,17 @@ func (c *conn) writeLoop() {
 const writerChunk = 256
 
 // buildFrames encodes one drained batch into pooled buffers, one frame
-// per buffer: reply and completion frames chunked to writerChunk (and
-// the protocol limits), then one stats frame per snapshot. Every buffer
-// is sized exactly before encoding, so the appends never reallocate;
-// encoding cannot fail because the engine only stages records it built
-// within the protocol bounds.
+// per buffer: completion and reply frames chunked to writerChunk (and
+// the protocol limits), then one stats frame per snapshot. Completions
+// go first so that wire order matches verdict order: a batch can
+// coalesce several steps' output, and a flush barrier's StatusFlushed
+// reply is only staged once every completion it covers was staged, so
+// it must not overtake them on the wire. Every buffer is sized exactly
+// before encoding, so the appends never reallocate; encoding cannot
+// fail because the engine only stages records it built within the
+// protocol bounds.
 func (c *conn) buildFrames(bufs [][]byte, cycle uint64, reps []wire.Reply, comps []wire.Completion, stats []wire.Stats) [][]byte {
 	var err error
-	for len(reps) > 0 {
-		n := min(len(reps), writerChunk)
-		b := c.e.pool.Get(wire.SizeReplies(n))
-		if b, err = wire.AppendReplies(b, cycle, reps[:n]); err != nil {
-			panic(fmt.Sprintf("server: staged replies unencodable: %v", err))
-		}
-		bufs = append(bufs, b)
-		reps = reps[n:]
-	}
 	for len(comps) > 0 {
 		n := min(wire.FitCompletions(comps), writerChunk)
 		b := c.e.pool.Get(wire.SizeCompletions(comps[:n]))
@@ -246,6 +240,15 @@ func (c *conn) buildFrames(bufs [][]byte, cycle uint64, reps []wire.Reply, comps
 		}
 		bufs = append(bufs, b)
 		comps = comps[n:]
+	}
+	for len(reps) > 0 {
+		n := min(len(reps), writerChunk)
+		b := c.e.pool.Get(wire.SizeReplies(n))
+		if b, err = wire.AppendReplies(b, cycle, reps[:n]); err != nil {
+			panic(fmt.Sprintf("server: staged replies unencodable: %v", err))
+		}
+		bufs = append(bufs, b)
+		reps = reps[n:]
 	}
 	if len(stats) > 0 {
 		b := c.e.pool.Get(len(stats) * wire.SizeStats)

@@ -15,14 +15,22 @@
 // instead of re-executing — so a flaky network changes *when* verdicts
 // arrive, never *how many times* they are counted.
 //
-// Every interface cycle the engine drains as many queued requests as
-// the channels can accept — round-robin across sessions for fairness,
-// FIFO within a session so the VPNM ordering contract (reads see prior
-// writes to the same address) survives the network — then ticks the
-// memory and routes the cycle's completions, still stamped with their
-// IssuedAt/DeliveredAt cycles, back to whichever session issued them.
+// Every interface cycle the engine makes one issue sweep over its
+// sessions — round-robin across sessions for fairness, FIFO within a
+// session so the VPNM ordering contract (reads see prior writes to the
+// same address) survives the network. The sweep visits each session
+// once, so a held queue head is presented to the memory at most once
+// per cycle. In order (the default) a queue head goes straight to the
+// memory; with Config.OOO it goes into an out-of-order stage that
+// issues the oldest issuable request on every channel. The engine then
+// ticks the memory and routes the cycle's completions, still stamped
+// with their IssuedAt/DeliveredAt cycles, back to whichever session
+// issued them.
 //
-// Backpressure maps onto the paper's stall semantics at four levels:
+// The paper gives a refused request two fates: stall the device (hold
+// the request and present it again next cycle) or drop the packet
+// (surface the refusal and let the client decide). The engine makes
+// that choice in one place, whatever refused the request:
 //
 //   - a tenant over its provisioned rate (Config.QoS) has its queue
 //     head refused a token: under DropWithAccounting the refusal
@@ -31,16 +39,17 @@
 //     (the paper's provisioning argument turned into an enforced
 //     contract);
 //   - a channel that already accepted a request this cycle
-//     (multichannel.ErrChannelBusy) holds the session's queue head for
-//     one cycle — the interface-level analogue of a bank conflict,
-//     absorbed invisibly;
+//     (multichannel.ErrChannelBusy) holds the queue head for one cycle —
+//     the interface-level analogue of a bank conflict, absorbed
+//     invisibly;
 //   - a controller stall (core.ErrStall*) is handled by the configured
 //     recovery policy: hold-and-retry ("stall the device") or a
 //     StatusStall reply that surfaces the stall to the client's own
 //     recovery policy ("drop the packet", with the client free to
-//     re-issue);
-//   - a full per-session queue stops the reader, so TCP flow control
-//     pushes the stall all the way back to the remote device.
+//     re-issue).
+//
+// Beyond those, a full per-session queue stops the reader, so TCP flow
+// control pushes the stall all the way back to the remote device.
 //
 // ErrUncorrectable crosses the wire as a completion flag: the word is
 // on time — the pipeline never skips a beat — but untrusted.
@@ -89,35 +98,40 @@ type Config struct {
 	// socket, so backpressure propagates to the client through TCP flow
 	// control. Zero selects DefaultWindow.
 	Window int
-	// Policy maps controller stalls onto the connection.
-	// DropWithAccounting surfaces every stall as a StatusStall reply and
-	// lets the client's recovery policy decide; RetryNextCycle and
-	// Backpressure (the default) hold the stalled request at the queue
-	// head and re-present it each cycle, up to MaxAttempts.
+	// Policy maps controller stalls and tenant throttles onto the
+	// connection, in both issue modes. DropWithAccounting surfaces every
+	// refusal as a StatusStall reply and lets the client's recovery
+	// policy decide; RetryNextCycle and Backpressure (the default) hold
+	// the refused request — at its session's queue head, or at its
+	// channel's head in the out-of-order stage — and present it again
+	// once per cycle, up to MaxAttempts presentations.
 	Policy recovery.Policy
 	// MaxAttempts bounds hold-and-retry before the request is dropped
 	// with a StatusDropped reply. Zero selects
 	// recovery.DefaultMaxAttempts.
 	MaxAttempts int
 	// QoS, when non-nil, regulates tenants: every session's Hello tenant
-	// name maps to a token bucket, and a queue head is only presented to
-	// the memory once its tenant holds a token. The regulator's clock is
-	// the engine clock — buckets refill one interface cycle at a time
-	// (idle skips included), so rate limits are in requests per
-	// interface cycle, the same unit the paper provisions banks in.
-	// With OOO on, the token is charged at ADMISSION into the
-	// out-of-order stage, so a throttled tenant's held queue head never
-	// occupies a channel slot another tenant could use.
+	// name maps to a token bucket, and a queue head leaves its session
+	// (to the memory, or into the out-of-order stage) only once its
+	// tenant holds a token. The token is charged once per request, at
+	// that one point in the issue sweep, so a throttled tenant's held
+	// head never occupies a channel slot another tenant could use; a
+	// head refused a token is re-presented once per cycle. The
+	// regulator's clock is the engine clock — buckets refill one
+	// interface cycle at a time (idle skips included), so rate limits
+	// are in requests per interface cycle, the same unit the paper
+	// provisions banks in.
 	QoS *qos.Regulator
 	// OOO enables the out-of-order issue stage: instead of blocking a
 	// session's whole queue on one channel's same-cycle collision, the
-	// engine admits queue heads into per-channel pending rings and
-	// issues the oldest issuable request on EVERY channel each cycle,
-	// lifting req/cycle from the in-order collision expectation (~1.82
-	// at 4 channels) toward the channel count. Fixed-D is untouched
-	// (the contract is per-request) and same-address ordering is
-	// preserved structurally — see multichannel.Stage. The in-order
-	// sweep remains the default.
+	// issue sweep admits queue heads into per-channel pending rings and
+	// the stage issues the oldest issuable request on EVERY channel each
+	// cycle, lifting req/cycle from the in-order collision expectation
+	// (~1.82 at 4 channels) toward the channel count. Fixed-D is
+	// untouched (the contract is per-request) and same-address ordering
+	// is preserved structurally — see multichannel.Stage. Both modes
+	// share one sweep and one refusal policy; in-order issue, straight
+	// from the queue head to the memory, remains the default.
 	OOO bool
 	// OOODepth bounds each channel's pending ring in the out-of-order
 	// stage. Zero selects DefaultOOODepth. Ignored without OOO.
@@ -220,9 +234,9 @@ type route struct {
 
 // oooSlot is the engine-side state of one request parked in the
 // out-of-order stage: which session owns it, its wire seq, its enqueue
-// cycle (for tenant latency), and the hold-and-retry attempt count.
-// The stage's Pending.Cookie is the slot index; slots are preallocated
-// for the stage's full capacity and recycled through a freelist.
+// cycle (for tenant latency), and its refusal count so far. The stage's
+// Pending.Cookie is the slot index; slots are preallocated for the
+// stage's full capacity and recycled through a freelist.
 type oooSlot struct {
 	s        *session
 	seq      uint64
@@ -236,8 +250,8 @@ type inFrame struct {
 	reqs []pendingReq
 }
 
-// pendingReq is one queued request; attempts counts hold-and-retry
-// re-presentations of a stalled queue head, paid records that its
+// pendingReq is one queued request; attempts counts the refusals of a
+// held queue head (at most one per cycle), paid records that its
 // tenant's token has already been charged (a head held by a memory
 // stall is not re-charged on re-presentation), enq is the enqueue
 // cycle.
@@ -278,8 +292,9 @@ type Engine struct {
 	routeMask uint64
 
 	// Out-of-order issue stage (nil unless Config.OOO). oooSlots and
-	// oooFree are engine-goroutine private; stageTot mirrors the
-	// stage's occupancy for the loop/drain/snapshot paths.
+	// oooFree are engine-goroutine private; len(oooFree) is the stage's
+	// free capacity, and stageTot mirrors its occupancy for the
+	// loop/drain/snapshot paths.
 	ooo      *multichannel.Stage
 	oooSlots []oooSlot
 	oooFree  []uint32
@@ -749,8 +764,9 @@ func (e *Engine) admit(fr inFrame) {
 	e.pendingTot.Add(int64(n))
 }
 
-// step advances one interface cycle: issue as many queued requests as
-// the channels accept, tick the memory, route the completions.
+// step advances one interface cycle: sweep the sessions' queue heads
+// into the memory (or the out-of-order stage), tick the memory, route
+// the completions.
 func (e *Engine) step() {
 	e.snapSeq.Add(1) // odd: counters are in motion
 	defer func() {
@@ -770,36 +786,23 @@ func (e *Engine) step() {
 	e.mu.Unlock()
 
 	if n := len(sessions); n > 0 {
+		// One sweep in both modes: every session once, round-robin across
+		// sessions, FIFO within one. In order, the budget is Ports() memory
+		// issues (one per channel, times the coded read-port count when
+		// XOR-parity bank groups are on) and the quota never binds. Out of
+		// order, the budget is the stage's free slots and the quota is a
+		// session's share of the stage, so nobody can squat it and starve
+		// another session's channels; the sweep then issues the oldest
+		// issuable request on every channel.
+		budget, quota := e.ports, e.ports
 		if e.ooo != nil {
-			// Out-of-order issue: drain session queue heads into the
-			// per-channel pending rings (round-robin across sessions,
-			// FIFO within one, quota-bounded so no session can squat the
-			// whole stage), then issue the oldest issuable request on
-			// every channel.
-			quota := e.ooo.Cap() / n
-			if quota < e.ports {
-				quota = e.ports
-			}
-			for i := 0; i < n; i++ {
-				e.admitFrom(sessions[(rr+i)%n], quota)
-			}
+			budget, quota = len(e.oooFree), max(e.ooo.Cap()/n, e.ports)
+		}
+		for i := 0; i < n; i++ {
+			e.drainFrom(sessions[(rr+i)%n], quota, &budget)
+		}
+		if e.ooo != nil {
 			e.ooo.Sweep()
-		} else {
-			// In-order issue: up to Ports() read requests can be accepted
-			// per cycle (one per channel, times the coded read-port count
-			// when XOR-parity bank groups are on). Round-robin across
-			// sessions, FIFO within one; keep sweeping while somebody
-			// makes progress.
-			budget := e.ports
-			progress := true
-			for budget > 0 && progress {
-				progress = false
-				for i := 0; i < n && budget > 0; i++ {
-					if e.issueFrom(sessions[(rr+i)%n], &budget) {
-						progress = true
-					}
-				}
-			}
 		}
 	}
 
@@ -874,8 +877,8 @@ func (e *Engine) noteOut(s *session) {
 // Only the free-running clock skips: a paced clock (TickInterval > 0)
 // owes the wall-clock wait, and a stalled, throttled or retryable queue
 // head means the next cycle could accept work, so nothing is skipped
-// (hold-and-retry re-presentation still happens every cycle, keeping
-// MaxAttempts and refill accounting exact).
+// (a held head is still presented once every cycle, keeping MaxAttempts
+// and refill accounting exact).
 func (e *Engine) skipIdleSpan(sessions []*session) {
 	if e.cfg.TickInterval > 0 || e.outstanding.Load() == 0 || e.stageTot.Load() != 0 {
 		return
@@ -927,323 +930,203 @@ func (e *Engine) prune(sessions []*session) {
 	e.mu.Unlock()
 }
 
-// issueFrom drains the head of one session's queue into the memory
-// until the queue empties, the head must wait for a later cycle, or the
-// cycle's budget runs out. It reports whether any request was resolved.
-func (e *Engine) issueFrom(s *session, budget *int) bool {
+// drainFrom is the engine's one issue sweep, shared by both modes. It
+// resolves one session's queue heads, FIFO, until the queue empties or
+// the head must wait for a later cycle; step calls it once per session
+// per cycle, so a held head is presented at most once per cycle. Stats
+// heads are answered at once, and Flush heads are held until nothing
+// of the session's is staged or in flight. A Read or Write head needs
+// room first: budget is the cycle's remaining admissions across all
+// sessions, and quota is this session's share of the out-of-order
+// stage. It then needs its tenant's token, charged once however long
+// the head is held. Then it goes straight to the memory (in order) or
+// into the out-of-order stage. Every refusal goes through verdict.
+func (e *Engine) drainFrom(s *session, quota int, budget *int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return false
+		return
 	}
-	progress := false
-	for *budget > 0 && s.head < len(s.pending) {
+	for s.head < len(s.pending) {
 		req := &s.pending[s.head]
-		if s.tenant != nil && !req.paid && (req.op == wire.OpRead || req.op == wire.OpWrite) {
-			// Tenant admission gate: one token per request, charged once
-			// (a head later held by a memory stall is not re-charged).
-			// Refusals consume no channel budget — a throttled tenant
-			// cannot congest the cycle for anyone else.
-			cyc := e.cycle.Load()
-			if s.thrCycle == cyc && s.thrSeq == req.seq {
-				return progress // already refused this cycle; hold
-			}
-			if !s.tenant.TryIssue() {
-				s.thrCycle, s.thrSeq = cyc, req.seq
-				if !e.throttledHead(s, req) {
-					return progress
-				}
-				progress = true
-				continue
-			}
-			req.paid = true
-		}
 		switch req.op {
 		case wire.OpStats:
 			s.stageStats(e.statsFor(req.seq))
 			e.noteOut(s)
 			s.popLocked()
-			progress = true
-		case wire.OpFlush:
-			if s.outstanding > 0 {
-				return progress // barrier: wait for completions
-			}
-			e.ctr.flushes.Add(1)
-			s.stageReply(wire.Reply{Status: wire.StatusFlushed, Seq: req.seq})
-			e.noteOut(s)
-			s.popLocked()
-			progress = true
-		case wire.OpRead:
-			tag, err := e.mem.Read(req.addr)
-			if err == nil {
-				e.recordRoute(tag, s, req.seq, req.enq)
-				s.outstanding++
-				e.outstanding.Add(1)
-				e.ctr.reads.Add(1)
-				s.popLocked()
-				*budget--
-				progress = true
-				continue
-			}
-			if !e.refused(s, req, err) {
-				return progress
-			}
-			progress = true
-		case wire.OpWrite:
-			err := e.mem.Write(req.addr, req.data)
-			if err == nil {
-				// The controller copied the payload on accept; the pooled
-				// buffer's work is done.
-				e.pool.Put(req.data)
-				req.data = nil
-				e.ctr.writes.Add(1)
-				if s.resumable() {
-					s.resolveLocked(req.seq)
-					s.rememberLocked(req.seq, doneEntry{write: true})
-				}
-				s.stageReply(wire.Reply{Status: wire.StatusAccepted, Seq: req.seq})
-				e.noteOut(s)
-				s.popLocked()
-				*budget--
-				progress = true
-				continue
-			}
-			if !e.refused(s, req, err) {
-				return progress
-			}
-			progress = true
-		default:
-			// The decoder validates opcodes; anything else is a bug.
-			panic(fmt.Sprintf("server: unknown queued opcode %d", req.op))
-		}
-	}
-	return progress
-}
-
-// throttledHead handles a queue head whose tenant was refused a token,
-// mirroring refused(): under DropWithAccounting the refusal surfaces
-// immediately as StatusStall/CodeThrottled and the client's recovery
-// policy decides; otherwise the head is held and re-presented — charged
-// one refusal per cycle — until the bucket refills or MaxAttempts drops
-// it. It reports true when the request was resolved (popped with a
-// reply). Called with s.mu held.
-func (e *Engine) throttledHead(s *session, req *pendingReq) bool {
-	e.ctr.throttled.Add(1)
-	if e.cfg.Policy == recovery.DropWithAccounting {
-		e.resolveHeadLocked(s, req, wire.Reply{Status: wire.StatusStall, Code: wire.CodeThrottled, Seq: req.seq})
-		return true
-	}
-	req.attempts++
-	if req.attempts >= e.cfg.MaxAttempts {
-		e.ctr.dropped.Add(1)
-		e.resolveHeadLocked(s, req, wire.Reply{Status: wire.StatusDropped, Code: wire.CodeThrottled, Seq: req.seq})
-		return true
-	}
-	return false
-}
-
-// resolveHeadLocked retires the queue head with a terminal reply:
-// forget the live seq, return the pooled payload, stage the verdict and
-// pop. Called with s.mu held.
-func (e *Engine) resolveHeadLocked(s *session, req *pendingReq, rep wire.Reply) {
-	if s.resumable() {
-		s.resolveLocked(req.seq)
-	}
-	e.pool.Put(req.data)
-	req.data = nil
-	s.stageReply(rep)
-	e.noteOut(s)
-	s.popLocked()
-}
-
-// refused handles a Read/Write the memory did not accept. It reports
-// true when the request was resolved (popped with a reply) and false
-// when it stays at the queue head for a later cycle. Called with s.mu
-// held.
-func (e *Engine) refused(s *session, req *pendingReq, err error) bool {
-	switch {
-	case err == multichannel.ErrChannelBusy:
-		// Same-cycle channel collision — the interface analogue of a
-		// bank conflict. Absorb it: retry next cycle, no accounting
-		// toward the stall budget.
-		e.ctr.busy.Add(1)
-		return false
-	case core.IsStall(err):
-		if e.cfg.Policy == recovery.DropWithAccounting {
-			e.ctr.stalls.Add(1)
-			e.resolveHeadLocked(s, req, wire.Reply{Status: wire.StatusStall, Code: wire.CodeOf(err), Seq: req.seq})
-			return true
-		}
-		req.attempts++
-		if req.attempts >= e.cfg.MaxAttempts {
-			e.ctr.dropped.Add(1)
-			e.resolveHeadLocked(s, req, wire.Reply{Status: wire.StatusDropped, Code: wire.CodeOf(err), Seq: req.seq})
-			return true
-		}
-		e.ctr.stallRetries.Add(1)
-		return false
-	default:
-		// Malformed request (e.g. data wider than the memory word):
-		// drop it with accounting rather than kill the connection.
-		e.logf("server: dropping request seq %d: %v", req.seq, err)
-		e.ctr.dropped.Add(1)
-		e.resolveHeadLocked(s, req, wire.Reply{Status: wire.StatusDropped, Code: wire.CodeOther, Seq: req.seq})
-		return true
-	}
-}
-
-// admitFrom drains the head of one session's queue into the
-// out-of-order stage until the queue empties, the head must wait (a
-// flush barrier, a throttle hold, a full channel ring), or the session
-// reaches its per-cycle stage quota — the fairness rule: one session
-// can reorder ahead of its own later requests, never squat the whole
-// stage and starve another session's channels. The tenant token is
-// charged HERE, at admission, so a throttled head never occupies stage
-// space another tenant could use. It reports whether any request was
-// admitted or resolved.
-func (e *Engine) admitFrom(s *session, quota int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	progress := false
-	for s.head < len(s.pending) && s.inStage < quota {
-		req := &s.pending[s.head]
-		if s.tenant != nil && !req.paid && (req.op == wire.OpRead || req.op == wire.OpWrite) {
-			// Same admission gate as issueFrom: one token per request,
-			// charged once, one refusal per cycle.
-			cyc := e.cycle.Load()
-			if s.thrCycle == cyc && s.thrSeq == req.seq {
-				return progress
-			}
-			if !s.tenant.TryIssue() {
-				s.thrCycle, s.thrSeq = cyc, req.seq
-				if !e.throttledHead(s, req) {
-					return progress
-				}
-				progress = true
-				continue
-			}
-			req.paid = true
-		}
-		switch req.op {
-		case wire.OpStats:
-			s.stageStats(e.statsFor(req.seq))
-			e.noteOut(s)
-			s.popLocked()
-			progress = true
+			continue
 		case wire.OpFlush:
 			if s.inStage > 0 || s.outstanding > 0 {
-				return progress // barrier: wait for the stage and completions
+				return // barrier: wait for the stage and completions
 			}
 			e.ctr.flushes.Add(1)
 			s.stageReply(wire.Reply{Status: wire.StatusFlushed, Seq: req.seq})
 			e.noteOut(s)
 			s.popLocked()
-			progress = true
+			continue
 		case wire.OpRead, wire.OpWrite:
-			if !e.ooo.Room(e.mem.Channel(req.addr)) {
-				return progress // channel ring full; re-offer after a sweep
-			}
-			idx := e.oooFree[len(e.oooFree)-1]
-			e.oooFree = e.oooFree[:len(e.oooFree)-1]
-			e.oooSlots[idx] = oooSlot{s: s, seq: req.seq, enq: req.enq, attempts: req.attempts}
-			e.ooo.Admit(multichannel.Pending{
-				Addr:   req.addr,
-				Data:   req.data,
-				Cookie: uint64(idx),
-				Write:  req.op == wire.OpWrite,
-			})
-			req.data = nil
-			s.inStage++
-			e.stageTot.Add(1)
-			s.popLocked()
-			progress = true
 		default:
 			// The decoder validates opcodes; anything else is a bug.
 			panic(fmt.Sprintf("server: unknown queued opcode %d", req.op))
 		}
+		if *budget == 0 || s.inStage >= quota {
+			return
+		}
+		err := qos.ErrThrottled
+		if s.tenant == nil || req.paid || s.tenant.TryIssue() {
+			req.paid = true
+			if e.ooo != nil {
+				// Park the head in the stage. Its slot, named by the
+				// Pending's cookie, keeps what the sink needs to book the
+				// outcome; the budget guarantees a free one.
+				idx := e.oooFree[len(e.oooFree)-1]
+				if !e.ooo.Admit(multichannel.Pending{
+					Addr:   req.addr,
+					Data:   req.data,
+					Cookie: uint64(idx),
+					Write:  req.op == wire.OpWrite,
+				}) {
+					return // channel ring full; re-offer after a sweep
+				}
+				e.oooFree = e.oooFree[:len(e.oooFree)-1]
+				e.oooSlots[idx] = oooSlot{s: s, seq: req.seq, enq: req.enq, attempts: req.attempts}
+				s.inStage++
+				e.stageTot.Add(1)
+				req.data = nil
+				s.popLocked()
+				*budget--
+				continue
+			}
+			var tag uint64
+			if req.op == wire.OpRead {
+				tag, err = e.mem.Read(req.addr)
+			} else {
+				err = e.mem.Write(req.addr, req.data)
+			}
+			if err == nil {
+				e.acceptedLocked(s, req.op == wire.OpWrite, req.seq, req.enq, tag, req.data)
+				req.data = nil
+				s.popLocked()
+				*budget--
+				continue
+			}
+		}
+		rep, done := e.verdict(req.seq, &req.attempts, err)
+		if !done {
+			return // held: presented again next cycle
+		}
+		e.retireLocked(s, rep, req.data)
+		req.data = nil
+		s.popLocked()
 	}
-	return progress
 }
 
 // oooSink receives every issue outcome from the out-of-order stage's
-// sweep. Engine goroutine only (it runs inside step's e.ooo.Sweep()).
+// sweep and books it exactly as drainFrom books an in-order one, then
+// recycles the request's slot once it leaves the stage. Engine
+// goroutine only (it runs inside step's e.ooo.Sweep()).
 func (e *Engine) oooSink(p *multichannel.Pending, tag uint64, err error) bool {
 	slot := &e.oooSlots[p.Cookie]
+	var rep wire.Reply
+	if err != nil {
+		var done bool
+		if rep, done = e.verdict(slot.seq, &slot.attempts, err); !done {
+			return false // held at its channel head for next cycle
+		}
+	}
 	s := slot.s
+	s.mu.Lock()
 	if err == nil {
-		if p.Write {
-			// The controller copied the payload on accept; the pooled
-			// buffer's work is done.
-			e.pool.Put(p.Data)
-			e.ctr.writes.Add(1)
-			s.mu.Lock()
-			s.inStage--
-			if s.resumable() {
-				s.resolveLocked(slot.seq)
-				s.rememberLocked(slot.seq, doneEntry{write: true})
-			}
-			s.stageReply(wire.Reply{Status: wire.StatusAccepted, Seq: slot.seq})
-			e.noteOut(s)
-			s.mu.Unlock()
-		} else {
-			e.recordRoute(tag, s, slot.seq, slot.enq)
-			e.outstanding.Add(1)
-			e.ctr.reads.Add(1)
-			s.mu.Lock()
-			s.inStage--
-			s.outstanding++
-			s.mu.Unlock()
-		}
-		e.freeSlot(uint32(p.Cookie))
-		return true
+		e.acceptedLocked(s, p.Write, slot.seq, slot.enq, tag, p.Data)
+	} else {
+		e.retireLocked(s, rep, p.Data)
 	}
-	if core.IsStall(err) {
-		if e.cfg.Policy == recovery.DropWithAccounting {
-			e.ctr.stalls.Add(1)
-			e.resolveStage(p, slot, wire.Reply{Status: wire.StatusStall, Code: wire.CodeOf(err), Seq: slot.seq})
-			return true
-		}
-		slot.attempts++
-		if slot.attempts >= e.cfg.MaxAttempts {
-			e.ctr.dropped.Add(1)
-			e.resolveStage(p, slot, wire.Reply{Status: wire.StatusDropped, Code: wire.CodeOf(err), Seq: slot.seq})
-			return true
-		}
-		e.ctr.stallRetries.Add(1)
-		return false // held at its channel head for next cycle
-	}
-	e.logf("server: dropping request seq %d: %v", slot.seq, err)
-	e.ctr.dropped.Add(1)
-	e.resolveStage(p, slot, wire.Reply{Status: wire.StatusDropped, Code: wire.CodeOther, Seq: slot.seq})
+	s.inStage--
+	s.mu.Unlock()
+	p.Data = nil
+	*slot = oooSlot{}
+	e.oooFree = append(e.oooFree, uint32(p.Cookie))
+	e.stageTot.Add(-1)
 	return true
 }
 
-// resolveStage retires a staged request with a terminal reply — the
-// out-of-order mirror of resolveHeadLocked. Engine goroutine only.
-func (e *Engine) resolveStage(p *multichannel.Pending, slot *oooSlot, rep wire.Reply) {
-	s := slot.s
-	e.pool.Put(p.Data)
-	p.Data = nil
-	s.mu.Lock()
-	s.inStage--
-	if s.resumable() {
-		s.resolveLocked(slot.seq)
+// verdict is the engine's one refusal policy, applied to a Read or
+// Write wherever it was refused: at the queue head (tenant gate,
+// in-order issue) or at a channel head in the out-of-order stage. It
+// returns the terminal reply and true when the request leaves the
+// system, or false when it is held and presented again next cycle:
+//
+//   - a same-cycle channel collision (multichannel.ErrChannelBusy) is
+//     held without counting toward the stall budget;
+//   - a stall — a controller stall, or qos.ErrThrottled for a tenant out
+//     of tokens — surfaces as StatusStall under DropWithAccounting
+//     ("drop the packet"); otherwise it is held ("stall the device")
+//     until MaxAttempts presentations drop it with StatusDropped;
+//   - anything else is a malformed request (e.g. data wider than the
+//     memory word), dropped with accounting rather than killing the
+//     connection.
+func (e *Engine) verdict(seq uint64, attempts *int, err error) (wire.Reply, bool) {
+	throttled := err == qos.ErrThrottled
+	switch {
+	case err == multichannel.ErrChannelBusy:
+		e.ctr.busy.Add(1)
+		return wire.Reply{}, false
+	case throttled:
+		e.ctr.throttled.Add(1)
+	case !core.IsStall(err):
+		e.logf("server: dropping request seq %d: %v", seq, err)
+		e.ctr.dropped.Add(1)
+		return wire.Reply{Status: wire.StatusDropped, Code: wire.CodeOther, Seq: seq}, true
 	}
-	s.stageReply(rep)
-	e.noteOut(s)
-	s.mu.Unlock()
-	e.freeSlot(uint32(p.Cookie))
+	if e.cfg.Policy == recovery.DropWithAccounting {
+		if !throttled {
+			e.ctr.stalls.Add(1)
+		}
+		return wire.Reply{Status: wire.StatusStall, Code: wire.CodeOf(err), Seq: seq}, true
+	}
+	*attempts++
+	if *attempts >= e.cfg.MaxAttempts {
+		e.ctr.dropped.Add(1)
+		return wire.Reply{Status: wire.StatusDropped, Code: wire.CodeOf(err), Seq: seq}, true
+	}
+	if !throttled {
+		e.ctr.stallRetries.Add(1)
+	}
+	return wire.Reply{}, false
 }
 
-// freeSlot recycles one stage slot back to the freelist. Engine
-// goroutine only.
-func (e *Engine) freeSlot(idx uint32) {
-	e.oooSlots[idx] = oooSlot{}
-	e.oooFree = append(e.oooFree, idx)
-	e.stageTot.Add(-1)
+// acceptedLocked books a Read or Write the memory accepted: a read's
+// route and in-flight counts, or a write's accept verdict. data is the
+// request's pooled payload; the controller copied it on accept, so its
+// work is done. Called with s.mu held.
+func (e *Engine) acceptedLocked(s *session, write bool, seq, enq, tag uint64, data []byte) {
+	if !write {
+		e.recordRoute(tag, s, seq, enq)
+		s.outstanding++
+		e.outstanding.Add(1)
+		e.ctr.reads.Add(1)
+		return
+	}
+	e.pool.Put(data)
+	e.ctr.writes.Add(1)
+	if s.resumable() {
+		s.resolveLocked(seq)
+		s.rememberLocked(seq, doneEntry{write: true})
+	}
+	s.stageReply(wire.Reply{Status: wire.StatusAccepted, Seq: seq})
+	e.noteOut(s)
+}
+
+// retireLocked books a refused request that leaves the system with the
+// terminal reply verdict chose: forget the live seq, return the pooled
+// payload, stage the reply. Called with s.mu held.
+func (e *Engine) retireLocked(s *session, rep wire.Reply, data []byte) {
+	if s.resumable() {
+		s.resolveLocked(rep.Seq)
+	}
+	e.pool.Put(data)
+	s.stageReply(rep)
+	e.noteOut(s)
 }
 
 // recordRoute stores the (session, seq, enq) behind an accepted read's

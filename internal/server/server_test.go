@@ -10,6 +10,7 @@ import (
 	"repro/internal/multichannel"
 	"repro/internal/recovery"
 	"repro/internal/server"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -118,6 +119,19 @@ func (h *harness) awaitStats(seq uint64) wire.Stats {
 	}
 }
 
+// forEachMode runs f as one subtest per issue mode: in order (the
+// default) and out of order. The engine's refusal policy is shared by
+// both, so its tests must pass in both.
+func forEachMode(t *testing.T, f func(t *testing.T, ooo bool)) {
+	for _, ooo := range []bool{false, true} {
+		name := "inorder"
+		if ooo {
+			name = "ooo"
+		}
+		t.Run(name, func(t *testing.T) { f(t, ooo) })
+	}
+}
+
 func TestReadWriteFixedD(t *testing.T) {
 	mem := testMem(t, smallCfg(), 2)
 	eng, err := server.New(server.Config{Mem: mem})
@@ -198,79 +212,169 @@ func TestPipelinedReadsAllFixedD(t *testing.T) {
 // with the DropWithAccounting policy, which must surface them as
 // StatusStall replies carrying the cause code.
 func TestStallSurfaced(t *testing.T) {
-	cfg := core.Config{Banks: 1, QueueDepth: 1, WordBytes: 8}
-	mem := testMem(t, cfg, 1)
-	eng, err := server.New(server.Config{Mem: mem, Policy: recovery.DropWithAccounting})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	h := newHarness(t, eng)
+	forEachMode(t, func(t *testing.T, ooo bool) {
+		cfg := core.Config{Banks: 1, QueueDepth: 1, WordBytes: 8}
+		mem := testMem(t, cfg, 1)
+		eng, err := server.New(server.Config{Mem: mem, OOO: ooo, Policy: recovery.DropWithAccounting})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		h := newHarness(t, eng)
 
-	const n = 16
-	reqs := make([]wire.Request, 0, n+1)
-	for i := uint64(0); i < n; i++ {
-		reqs = append(reqs, wire.Request{Op: wire.OpRead, Seq: i, Addr: i})
-	}
-	reqs = append(reqs, wire.Request{Op: wire.OpFlush, Seq: 100})
-	h.send(reqs...)
-	h.awaitReply(100)
+		const n = 16
+		reqs := make([]wire.Request, 0, n+1)
+		for i := uint64(0); i < n; i++ {
+			reqs = append(reqs, wire.Request{Op: wire.OpRead, Seq: i, Addr: i})
+		}
+		reqs = append(reqs, wire.Request{Op: wire.OpFlush, Seq: 100})
+		h.send(reqs...)
+		h.awaitReply(100)
 
-	var stalled, completed int
-	for i := uint64(0); i < n; i++ {
-		// A reply frame can overtake an earlier-staged completion frame,
-		// so receive until this read resolves one way or the other.
-		for {
-			_, isReply := h.replies[i]
+		var stalled, completed int
+		for i := uint64(0); i < n; i++ {
+			// The server writes completion frames ahead of reply frames,
+			// so by the time the flush reply arrives every read it covers
+			// has resolved one way or the other.
 			_, isComp := h.comps[i]
-			if isReply || isComp {
-				break
+			if r, ok := h.replies[i]; !ok && !isComp {
+				t.Fatalf("read %d unresolved when its covering flush was answered", i)
+			} else if ok {
+				if r.Status != wire.StatusStall || r.Code == wire.CodeNone {
+					t.Fatalf("reply %d = %+v, want StatusStall with a cause", i, r)
+				}
+				stalled++
+				continue
 			}
-			h.recvOne()
-		}
-		if r, ok := h.replies[i]; ok {
-			if r.Status != wire.StatusStall || r.Code == wire.CodeNone {
-				t.Fatalf("reply %d = %+v, want StatusStall with a cause", i, r)
+			comp := h.comps[i]
+			if d := comp.DeliveredAt - comp.IssuedAt; d != uint64(mem.Delay()) {
+				t.Fatalf("read %d delta = %d, want %d", i, d, mem.Delay())
 			}
-			stalled++
-			continue
+			completed++
 		}
-		comp := h.comps[i]
-		if d := comp.DeliveredAt - comp.IssuedAt; d != uint64(mem.Delay()) {
-			t.Fatalf("read %d delta = %d, want %d", i, d, mem.Delay())
+		if stalled == 0 {
+			t.Fatal("one-bank queue-depth-one geometry produced no stalls")
 		}
-		completed++
-	}
-	if stalled == 0 {
-		t.Fatal("one-bank queue-depth-one geometry produced no stalls")
-	}
-	h.send(wire.Request{Op: wire.OpStats, Seq: 200})
-	if s := h.awaitStats(200); s.Stalls != uint64(stalled) || s.Completions != uint64(completed) {
-		t.Fatalf("stats = %+v, want %d stalls and %d completions", s, stalled, completed)
-	}
+		h.send(wire.Request{Op: wire.OpStats, Seq: 200})
+		if s := h.awaitStats(200); s.Stalls != uint64(stalled) || s.Completions != uint64(completed) {
+			t.Fatalf("stats = %+v, want %d stalls and %d completions", s, stalled, completed)
+		}
+	})
+}
+
+// TestHeldHeadPresentedOncePerCycle: under the hold policy a refused
+// request is presented to the memory again once per cycle, never twice
+// in one cycle, in either issue mode. A geometry that stalls often (two
+// banks of queue depth one per channel) makes every held read visible
+// in the controller's refusal trace. With MaxAttempts 2 a stalled read
+// must survive the cycle of its first refusal: it is dropped on its
+// second presentation, one cycle later at the earliest.
+func TestHeldHeadPresentedOncePerCycle(t *testing.T) {
+	forEachMode(t, func(t *testing.T, ooo bool) {
+		for _, maxAttempts := range []int{0, 2} {
+			events := telemetry.NewEventTrace(1 << 16)
+			events.Start(0, 0)
+			cfg := core.Config{Banks: 2, QueueDepth: 1, DelayRows: 16, WordBytes: 8}
+			mem, err := multichannel.New(cfg, 4, 1, multichannel.WithTracers(func(ch int) core.Tracer { return events.ForChannel(ch) }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := server.New(server.Config{Mem: mem, OOO: ooo, Lockstep: true, MaxAttempts: maxAttempts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := newHarness(t, eng)
+
+			const n = 400
+			reqs := make([]wire.Request, 0, n+1)
+			for i := uint64(0); i < n; i++ {
+				reqs = append(reqs, wire.Request{Op: wire.OpRead, Seq: i, Addr: i * 7919})
+			}
+			reqs = append(reqs, wire.Request{Op: wire.OpFlush, Seq: n})
+			h.send(reqs...)
+			h.awaitReply(n)
+			eng.Close()
+
+			if events.Recorded() > uint64(events.Capacity()) {
+				t.Fatalf("event ring overflowed: %d events", events.Recorded())
+			}
+			type stallAt struct{ cycle, addr uint64 }
+			var stalls []stallAt
+			for _, ev := range events.Snapshot() {
+				if ev.Kind == telemetry.EvStall {
+					stalls = append(stalls, stallAt{ev.Cycle, ev.Addr})
+				}
+			}
+			if len(stalls) == 0 {
+				t.Fatal("geometry produced no stalls; the test sees nothing")
+			}
+			// Cycles of each address's first and last refusal.
+			first, last := map[uint64]uint64{}, map[uint64]uint64{}
+			seen := map[stallAt]bool{}
+			repeats := 0
+			for _, st := range stalls {
+				if seen[st] {
+					repeats++
+				}
+				seen[st] = true
+				if _, ok := first[st.addr]; !ok {
+					first[st.addr] = st.cycle
+				}
+				last[st.addr] = st.cycle
+			}
+			if repeats != 0 {
+				t.Errorf("MaxAttempts %d: %d same-cycle re-presentations of a held request", maxAttempts, repeats)
+			}
+			if maxAttempts != 2 {
+				continue
+			}
+			dropped, early := 0, 0
+			for i := uint64(0); i < n; i++ {
+				r, ok := h.replies[i]
+				if !ok {
+					continue
+				}
+				if r.Status != wire.StatusDropped {
+					t.Fatalf("read %d reply %+v, want StatusDropped", i, r)
+				}
+				dropped++
+				if addr := i * 7919; last[addr] == first[addr] {
+					early++
+				}
+			}
+			if dropped == 0 {
+				t.Fatal("MaxAttempts 2 dropped nothing; the test sees nothing")
+			}
+			if early != 0 {
+				t.Errorf("%d of %d dropped reads were dropped in the cycle of their first refusal", early, dropped)
+			}
+		}
+	})
 }
 
 // TestOversizeWriteDropped sends a write wider than the memory word;
 // the server must drop that request, not the connection.
 func TestOversizeWriteDropped(t *testing.T) {
-	mem := testMem(t, smallCfg(), 1)
-	eng, err := server.New(server.Config{Mem: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	h := newHarness(t, eng)
+	forEachMode(t, func(t *testing.T, ooo bool) {
+		mem := testMem(t, smallCfg(), 1)
+		eng, err := server.New(server.Config{Mem: mem, OOO: ooo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		h := newHarness(t, eng)
 
-	h.send(
-		wire.Request{Op: wire.OpWrite, Seq: 1, Addr: 0, Data: make([]byte, 64)},
-		wire.Request{Op: wire.OpWrite, Seq: 2, Addr: 0, Data: make([]byte, 8)},
-	)
-	if r := h.awaitReply(1); r.Status != wire.StatusDropped || r.Code != wire.CodeOther {
-		t.Fatalf("oversize write reply = %+v, want StatusDropped/CodeOther", r)
-	}
-	if r := h.awaitReply(2); r.Status != wire.StatusAccepted {
-		t.Fatalf("following write reply = %+v, want StatusAccepted", r)
-	}
+		h.send(
+			wire.Request{Op: wire.OpWrite, Seq: 1, Addr: 0, Data: make([]byte, 64)},
+			wire.Request{Op: wire.OpWrite, Seq: 2, Addr: 0, Data: make([]byte, 8)},
+		)
+		if r := h.awaitReply(1); r.Status != wire.StatusDropped || r.Code != wire.CodeOther {
+			t.Fatalf("oversize write reply = %+v, want StatusDropped/CodeOther", r)
+		}
+		if r := h.awaitReply(2); r.Status != wire.StatusAccepted {
+			t.Fatalf("following write reply = %+v, want StatusAccepted", r)
+		}
+	})
 }
 
 // TestClientFrameTypeRejected: a client that sends a server-to-client

@@ -51,12 +51,6 @@ type session struct {
 	outstanding int // reads issued to the memory, completion not yet routed
 	inStage     int // requests parked in the out-of-order stage (OOO mode)
 
-	// Throttle-once-per-cycle guard: the issue sweep may visit a
-	// session several times per cycle, but a queue head refused a token
-	// must be charged one refusal per cycle, not one per visit.
-	thrCycle uint64
-	thrSeq   uint64
-
 	// live holds seqs queued or in the memory; done is the replay cache
 	// of positive terminal verdicts, evicted FIFO through doneQ.
 	live  map[uint64]struct{}
@@ -87,12 +81,11 @@ type session struct {
 
 func newSession(e *Engine, id uint64, tenantName string) *session {
 	s := &session{
-		e:        e,
-		id:       id,
-		name:     tenantName,
-		live:     make(map[uint64]struct{}),
-		done:     make(map[uint64]doneEntry),
-		thrCycle: ^uint64(0),
+		e:    e,
+		id:   id,
+		name: tenantName,
+		live: make(map[uint64]struct{}),
+		done: make(map[uint64]doneEntry),
 	}
 	s.rcond = sync.NewCond(&s.mu)
 	s.wcond = sync.NewCond(&s.mu)

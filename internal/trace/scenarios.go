@@ -17,7 +17,7 @@ type Scenario struct {
 // figConfig builds a small controller whose internals are easy to read
 // in a timeline: 4 banks, identity mapping so the scenario controls
 // bank placement, and an R of 1 so the two clock domains coincide.
-func figConfig(rec *Recorder) core.Config {
+func figConfig(tr core.Tracer) core.Config {
 	return core.Config{
 		Banks:         4,
 		AccessLatency: 15, // Figure 1 uses L=15
@@ -28,7 +28,7 @@ func figConfig(rec *Recorder) core.Config {
 		WordBytes:     8,
 		HashLatency:   1,
 		Hash:          hash.NewIdentity(2),
-		Trace:         rec,
+		Trace:         tr,
 	}
 }
 
@@ -65,8 +65,8 @@ func Figure1() ([]Scenario, error) {
 	}
 	var out []Scenario
 	for _, p := range patterns {
-		rec := &Recorder{}
-		ctrl, err := core.New(figConfig(rec))
+		events := NewRing(len(p.ops))
+		ctrl, err := core.New(figConfig(events.ForChannel(0)))
 		if err != nil {
 			return nil, fmt.Errorf("trace: building figure-1 controller: %w", err)
 		}
@@ -83,7 +83,7 @@ func Figure1() ([]Scenario, error) {
 		out = append(out, Scenario{
 			Name:        p.name,
 			Description: p.desc,
-			Render:      rec.Timeline(1, 1, 2),
+			Render:      Timeline(events.Snapshot(), 1, 1, 2),
 		})
 	}
 	return out, nil

@@ -1,80 +1,18 @@
-// Package trace records the controller's internal events and renders
-// Figure-1 style timelines: one row per request, showing the issue
-// point, the window during which the bank is actually accessed, the
-// waiting period that normalizes the latency, and the delivery exactly
-// D cycles after issue. The three scenarios of Figure 1 — typical
-// operation, short-cut (merged redundant) accesses, and a bank overload
-// stall — all become visible in this rendering.
+// Package trace renders Figure-1 style timelines from the controller
+// events a telemetry.EventTrace records: one row per request, showing
+// the issue point, the window during which the bank is actually
+// accessed, the waiting period that normalizes the latency, and the
+// delivery exactly D cycles after issue. The three scenarios of
+// Figure 1 — typical operation, short-cut (merged redundant) accesses,
+// and a bank overload stall — all become visible in this rendering.
 package trace
 
 import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/telemetry"
 )
-
-// EventKind enumerates recorded events.
-type EventKind int
-
-const (
-	// EvRequest is an accepted interface request.
-	EvRequest EventKind = iota
-	// EvStall is a refused interface request.
-	EvStall
-	// EvIssue is a bank access starting on the memory bus.
-	EvIssue
-	// EvDataReady is a read access completing at the bank.
-	EvDataReady
-	// EvDeliver is a playback on the interface.
-	EvDeliver
-)
-
-// Event is one recorded controller event. Cycle is in the clock domain
-// of the event: interface cycles for EvRequest/EvStall/EvDeliver,
-// memory cycles for EvIssue/EvDataReady.
-type Event struct {
-	Kind    EventKind
-	Cycle   uint64
-	Bank    int
-	Addr    uint64
-	Tag     uint64
-	IsWrite bool
-	Merged  bool
-	Err     error
-}
-
-// Recorder implements core.Tracer by appending events.
-type Recorder struct {
-	Events []Event
-}
-
-var _ core.Tracer = (*Recorder)(nil)
-
-// OnRequest implements core.Tracer.
-func (r *Recorder) OnRequest(cycle uint64, bank int, isWrite, merged bool, addr, tag uint64) {
-	r.Events = append(r.Events, Event{Kind: EvRequest, Cycle: cycle, Bank: bank, IsWrite: isWrite, Merged: merged, Addr: addr, Tag: tag})
-}
-
-// OnStall implements core.Tracer.
-func (r *Recorder) OnStall(cycle uint64, bank int, addr uint64, err error) {
-	r.Events = append(r.Events, Event{Kind: EvStall, Cycle: cycle, Bank: bank, Addr: addr, Err: err})
-}
-
-// OnIssue implements core.Tracer.
-func (r *Recorder) OnIssue(memCycle uint64, bank int, isWrite bool, addr uint64) {
-	r.Events = append(r.Events, Event{Kind: EvIssue, Cycle: memCycle, Bank: bank, IsWrite: isWrite, Addr: addr})
-}
-
-// OnDataReady implements core.Tracer.
-func (r *Recorder) OnDataReady(memCycle uint64, bank int, addr uint64) {
-	r.Events = append(r.Events, Event{Kind: EvDataReady, Cycle: memCycle, Bank: bank, Addr: addr})
-}
-
-// OnDeliver implements core.Tracer.
-func (r *Recorder) OnDeliver(cycle uint64, bank int, addr, tag uint64) {
-	r.Events = append(r.Events, Event{Kind: EvDeliver, Cycle: cycle, Bank: bank, Addr: addr, Tag: tag})
-}
 
 // row is one assembled request lifetime.
 type row struct {
@@ -84,63 +22,80 @@ type row struct {
 	accStart  uint64 // interface-cycle domain; valid if hasAccess
 	accEnd    uint64
 	hasAccess bool
-	merged    bool
 	isWrite   bool
 	stall     bool
 }
 
-// Timeline assembles the recorded events into per-request rows and
+// NewRing returns an armed event trace sized to keep every controller
+// event of a run of the given number of requests. A request raises at
+// most four events (accept, bank issue, data ready, delivery), so
+// sixteen per request leaves the ring ample headroom.
+func NewRing(requests int) *telemetry.EventTrace {
+	t := telemetry.NewEventTrace(16 * (requests + 1))
+	t.Start(0, 0)
+	return t
+}
+
+// Timeline assembles recorded controller events (oldest first, as
+// telemetry.EventTrace.Snapshot returns them) into per-request rows and
 // renders them as ASCII art. ratioNum/ratioDen convert memory cycles to
 // interface cycles; scale is how many interface cycles one character
-// covers (>= 1).
+// covers (>= 1). The ring must be sized to keep the whole run: a
+// request whose events were overwritten renders incomplete.
 //
 // Legend: '|' issue, '#' bank access, '.' in the virtual pipeline,
 // 'D' delivery, 'w' write issue, 'X' stall.
-func (r *Recorder) Timeline(ratioNum, ratioDen, scale int) string {
+func Timeline(events []telemetry.Event, ratioNum, ratioDen, scale int) string {
 	if scale < 1 {
 		scale = 1
 	}
 	toIface := func(mem uint64) uint64 { return mem * uint64(ratioDen) / uint64(ratioNum) }
 
 	var rows []row
-	// reads[bank][addr] queues indices of rows awaiting an access span.
+	// pendingAccess queues, per bank and address, the rows awaiting an
+	// access span; pendingDeliver maps a read's tag to its row.
 	type key struct {
-		bank int
+		ch   int16
+		bank int32
 		addr uint64
 	}
+	type tagKey struct {
+		ch  int16
+		tag uint64
+	}
 	pendingAccess := map[key][]int{}
-	pendingDeliver := map[uint64]int{} // tag -> row index
-	for _, e := range r.Events {
+	pendingDeliver := map[tagKey]int{}
+	for _, e := range events {
+		k := key{e.Chan, e.Bank, e.Addr}
 		switch e.Kind {
-		case EvRequest:
+		case telemetry.EvRead, telemetry.EvWrite, telemetry.EvMergedRead:
+			isWrite, merged := e.Kind == telemetry.EvWrite, e.Kind == telemetry.EvMergedRead
 			rw := "read "
-			if e.IsWrite {
+			if isWrite {
 				rw = "write"
 			}
-			if e.Merged {
+			if merged {
 				rw = "read*" // short-cut: served from an existing row
 			}
 			rows = append(rows, row{
 				label:    fmt.Sprintf("%s %#04x @%-4d", rw, e.Addr, e.Cycle),
 				issuedAt: e.Cycle,
-				merged:   e.Merged,
-				isWrite:  e.IsWrite,
+				isWrite:  isWrite,
 			})
 			idx := len(rows) - 1
-			if !e.Merged {
-				pendingAccess[key{e.Bank, e.Addr}] = append(pendingAccess[key{e.Bank, e.Addr}], idx)
+			if !merged {
+				pendingAccess[k] = append(pendingAccess[k], idx)
 			}
-			if !e.IsWrite {
-				pendingDeliver[e.Tag] = idx
+			if !isWrite {
+				pendingDeliver[tagKey{e.Chan, e.Tag}] = idx
 			}
-		case EvStall:
+		case telemetry.EvStall:
 			rows = append(rows, row{
 				label:    fmt.Sprintf("STALL %#04x @%-4d", e.Addr, e.Cycle),
 				issuedAt: e.Cycle,
 				stall:    true,
 			})
-		case EvIssue:
-			k := key{e.Bank, e.Addr}
+		case telemetry.EvIssueRead, telemetry.EvIssueWrite:
 			if q := pendingAccess[k]; len(q) > 0 {
 				rows[q[0]].accStart = toIface(e.Cycle)
 				rows[q[0]].hasAccess = true
@@ -152,16 +107,16 @@ func (r *Recorder) Timeline(ratioNum, ratioDen, scale int) string {
 					pendingAccess[k] = q[1:]
 				}
 			}
-		case EvDataReady:
-			k := key{e.Bank, e.Addr}
+		case telemetry.EvDataReady:
 			if q := pendingAccess[k]; len(q) > 0 {
 				rows[q[0]].accEnd = toIface(e.Cycle)
 				pendingAccess[k] = q[1:]
 			}
-		case EvDeliver:
-			if idx, ok := pendingDeliver[e.Tag]; ok {
+		case telemetry.EvDeliver:
+			tk := tagKey{e.Chan, e.Tag}
+			if idx, ok := pendingDeliver[tk]; ok {
 				rows[idx].deliverAt = e.Cycle
-				delete(pendingDeliver, e.Tag)
+				delete(pendingDeliver, tk)
 			}
 		}
 	}

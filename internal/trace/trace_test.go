@@ -5,12 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
 func TestRecorderCapturesLifecycle(t *testing.T) {
-	rec := &Recorder{}
-	cfg := figConfig(rec)
-	ctrl, err := core.New(cfg)
+	events := NewRing(1)
+	ctrl, err := core.New(figConfig(events.ForChannel(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,11 +18,12 @@ func TestRecorderCapturesLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl.Flush()
-	var kinds []EventKind
-	for _, e := range rec.Events {
+	got := events.Snapshot()
+	var kinds []telemetry.EventKind
+	for _, e := range got {
 		kinds = append(kinds, e.Kind)
 	}
-	want := []EventKind{EvRequest, EvIssue, EvDataReady, EvDeliver}
+	want := []telemetry.EventKind{telemetry.EvRead, telemetry.EvIssueRead, telemetry.EvDataReady, telemetry.EvDeliver}
 	if len(kinds) != len(want) {
 		t.Fatalf("events = %v want %v", kinds, want)
 	}
@@ -32,14 +33,14 @@ func TestRecorderCapturesLifecycle(t *testing.T) {
 		}
 	}
 	// Delivery exactly D after issue.
-	if d := rec.Events[3].Cycle - rec.Events[0].Cycle; d != uint64(ctrl.Delay()) {
+	if d := got[3].Cycle - got[0].Cycle; d != uint64(ctrl.Delay()) {
 		t.Fatalf("delivery after %d cycles want %d", d, ctrl.Delay())
 	}
 }
 
 func TestMergedRequestHasNoIssue(t *testing.T) {
-	rec := &Recorder{}
-	ctrl, err := core.New(figConfig(rec))
+	events := NewRing(2)
+	ctrl, err := core.New(figConfig(events.ForChannel(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +50,11 @@ func TestMergedRequestHasNoIssue(t *testing.T) {
 	ctrl.Flush()
 	issues := 0
 	merged := 0
-	for _, e := range rec.Events {
-		if e.Kind == EvIssue {
+	for _, e := range events.Snapshot() {
+		if e.Kind == telemetry.EvIssueRead {
 			issues++
 		}
-		if e.Kind == EvRequest && e.Merged {
+		if e.Kind == telemetry.EvMergedRead {
 			merged++
 		}
 	}
@@ -91,17 +92,17 @@ func TestFigure1Scenarios(t *testing.T) {
 }
 
 func TestTimelineEmpty(t *testing.T) {
-	rec := &Recorder{}
-	if got := rec.Timeline(1, 1, 1); got != "(no events)\n" {
+	if got := Timeline(nil, 1, 1, 1); got != "(no events)\n" {
 		t.Fatalf("empty timeline = %q", got)
 	}
 }
 
 func TestTimelineScaleClamped(t *testing.T) {
-	rec := &Recorder{}
-	rec.OnRequest(0, 0, false, false, 1, 1)
-	rec.OnDeliver(10, 0, 1, 1)
-	out := rec.Timeline(1, 1, 0) // scale 0 must clamp to 1
+	events := []telemetry.Event{
+		{Kind: telemetry.EvRead, Cycle: 0, Addr: 1, Tag: 1},
+		{Kind: telemetry.EvDeliver, Cycle: 10, Addr: 1, Tag: 1},
+	}
+	out := Timeline(events, 1, 1, 0) // scale 0 must clamp to 1
 	if !strings.Contains(out, "D") {
 		t.Fatalf("render: %q", out)
 	}
